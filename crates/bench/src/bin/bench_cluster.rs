@@ -115,12 +115,29 @@ fn parse_args() -> ClusterBenchOpts {
             _ => i += 1,
         }
     }
-    assert!(!opts.scales.is_empty(), "bench_cluster: no scales given");
-    assert!(
-        !opts.threads.is_empty(),
-        "bench_cluster: no thread counts given"
-    );
+    let k = StudyConfig::paper().k;
+    if opts.scales.is_empty() {
+        usage_and_exit("no scales given");
+    }
+    if opts.threads.is_empty() {
+        usage_and_exit("no thread counts given");
+    }
+    if opts.large_n <= k {
+        usage_and_exit(&format!(
+            "--large-n must exceed the cluster count k={k} (got {})",
+            opts.large_n
+        ));
+    }
     opts
+}
+
+fn usage_and_exit(problem: &str) -> ! {
+    eprintln!(
+        "bench_cluster: {problem}\n\
+         usage: bench_cluster [--scales S,..] [--threads T|max,..] [--seed N] \
+         [--large-n N] [--budget-mb MB] [--repeat R] [--metrics-out PATH]"
+    );
+    std::process::exit(2);
 }
 
 /// Stage 1 + RSCA for a scaled synthetic population.

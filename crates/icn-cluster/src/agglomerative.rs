@@ -14,7 +14,7 @@
 
 use crate::condensed::Condensed;
 use crate::linkage::Linkage;
-use icn_stats::{par, Matrix};
+use icn_stats::Matrix;
 
 /// One merge step of the hierarchy.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -116,190 +116,50 @@ pub fn agglomerate(data: &Matrix, linkage: Linkage) -> MergeHistory {
     agglomerate_condensed(&cond, linkage)
 }
 
-/// Minimum active-cluster count before a nearest-neighbour scan is worth
-/// fanning out over `icn_stats::par` (thread spawns are not free, and the
-/// chunked reduction is only a win on big scans). The `ICN_SCAN_PAR_MIN`
-/// environment variable overrides the default — a test/bench knob in the
-/// `ICN_THREADS` mould, read once per agglomeration; results never depend
-/// on it.
-fn par_scan_min() -> usize {
-    std::env::var("ICN_SCAN_PAR_MIN")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&v| v >= 2)
-        .unwrap_or(4096)
-}
-
-/// Lowest-index argmin of `row[y]` over `list` (skipping `skip`), i.e. the
-/// same winner the sequential `for y in 0..n` scan with a strict `<` picks.
-/// Chunks are combined in list order with a strict `<`, so the result is
-/// bit-identical at any thread count.
-fn nearest_active(row: &[f64], list: &[usize], skip: usize, scan_min: usize) -> (usize, f64) {
-    let fold = |ys: &[usize]| -> (usize, f64) {
-        let mut best = usize::MAX;
-        let mut best_d = f64::INFINITY;
-        for &y in ys {
-            if y == skip {
-                continue;
-            }
-            let dy = row[y];
-            if dy < best_d {
-                best_d = dy;
-                best = y;
-            }
-        }
-        (best, best_d)
-    };
-    if list.len() >= scan_min && par::thread_count() > 1 {
-        let chunk = list.len().div_ceil(par::thread_count());
-        let parts = par::map_chunks(list.len(), chunk, |r| fold(&list[r.start..r.end]));
-        let mut best = usize::MAX;
-        let mut best_d = f64::INFINITY;
-        // Chunks arrive in list order; strict `<` keeps the earliest
-        // (lowest-index) winner, matching the sequential scan.
-        for (y, dy) in parts {
-            if dy < best_d {
-                best_d = dy;
-                best = y;
-            }
-        }
-        (best, best_d)
-    } else {
-        fold(list)
-    }
-}
-
-/// Ward Lance–Williams update of row `i` against retiring row `j`, widened
-/// to four independent lanes (the `sq_euclidean4` style): each active `k`
-/// is an element-wise-independent update whose arithmetic is exactly
-/// [`Linkage::Ward`]`::update`, so unrolling only overlaps the per-lane
-/// divide chains — every stored value is bit-identical to the scalar loop.
-/// Lanes that land on the merging slots compute a discarded value and skip
-/// the store, preserving the scalar loop's `continue`.
-#[allow(clippy::too_many_arguments)] // mirrors the merge-step state 1:1
-fn ward_update_row(
-    d: &mut [f64],
-    n: usize,
-    i: usize,
-    j: usize,
-    d_ij: f64,
-    n_i: f64,
-    n_j: f64,
-    active_list: &[usize],
-    size: &[usize],
-) {
-    let ward = |d_ik: f64, d_jk: f64, n_k: f64| {
-        let t = n_i + n_j + n_k;
-        ((n_i + n_k) * d_ik + (n_j + n_k) * d_jk - n_k * d_ij) / t
-    };
-    let mut lanes = active_list.chunks_exact(4);
-    for q in lanes.by_ref() {
-        let (k0, k1, k2, k3) = (q[0], q[1], q[2], q[3]);
-        let v0 = ward(d[i * n + k0], d[j * n + k0], size[k0] as f64);
-        let v1 = ward(d[i * n + k1], d[j * n + k1], size[k1] as f64);
-        let v2 = ward(d[i * n + k2], d[j * n + k2], size[k2] as f64);
-        let v3 = ward(d[i * n + k3], d[j * n + k3], size[k3] as f64);
-        if k0 != i && k0 != j {
-            d[i * n + k0] = v0;
-        }
-        if k1 != i && k1 != j {
-            d[i * n + k1] = v1;
-        }
-        if k2 != i && k2 != j {
-            d[i * n + k2] = v2;
-        }
-        if k3 != i && k3 != j {
-            d[i * n + k3] = v3;
-        }
-    }
-    for &k in lanes.remainder() {
-        if k != i && k != j {
-            d[i * n + k] = ward(d[i * n + k], d[j * n + k], size[k] as f64);
-        }
-    }
-}
-
 /// Runs agglomerative clustering on a precomputed condensed distance matrix
 /// (must be in the linkage's base metric — squared Euclidean for Ward).
 ///
 /// # Algorithm notes
 ///
-/// The nearest-neighbour chain runs over a full square working matrix with
-/// three perf refinements over the textbook version, all value-preserving
-/// (the merges and heights are bit-identical to the naive maintenance
-/// scheme, at any `ICN_THREADS`):
+/// The nearest-neighbour chain runs on a **condensed working copy** of
+/// `cond` (the strict upper triangle, `N·(N−1)/2` values) with eager
+/// Lance–Williams updates, as in SciPy's `nn_chain` (Müllner,
+/// arXiv:1109.2378). Every pair has exactly one stored distance, so a
+/// merge rewrites each surviving `d(i, k)` once and there is no mirror to
+/// keep in sync. Peak working memory is one extra triangle (`4N²` bytes).
 ///
 /// * **Active list.** Retired slots are removed from a sorted index list,
 ///   so scans and Lance–Williams updates touch `O(remaining)` slots rather
 ///   than all `n` with a liveness branch per slot.
-/// * **Lazy row patching.** A merge rebuilds only the *row* of the
-///   surviving slot (one sequential write stream) instead of also writing
-///   the mirror column — at N≈5k those column writes are ~11M TLB-missing
-///   stores and dominate the run. Each row remembers the last merge it has
-///   seen (`rowstamp`); a scan first patches its row from the rows of
-///   clusters rebuilt since (which are recent, hence cache-resident), then
-///   reads one contiguous stream.
-/// * **Parallel scans.** Large scans fan out over `icn_stats::par` with a
-///   lowest-index-wins chunk reduction (`nearest_active`).
+/// * **Scan order.** The nearest-neighbour scan of `x` visits the active
+///   slots in ascending order, split at `x`: slots `y < x` are read
+///   strided from column `x` of earlier rows (`block_start(y) + x − y − 1`),
+///   slots `y > x` from the contiguous row block of `x`. A strict `<`
+///   keeps the lowest-index minimum, and a tie with the previous chain
+///   element goes to that element (which guarantees termination).
+///
+/// The scan order, the tie-break and each `Linkage::update` operand are
+/// those of the textbook square-matrix chain, so the merge history is
+/// bit-identical to it; the loop is sequential, so it is bit-identical at
+/// any `ICN_THREADS` too.
 pub fn agglomerate_condensed(cond: &Condensed, linkage: Linkage) -> MergeHistory {
     let _span = icn_obs::Span::enter("agglomerate");
     let n = cond.len();
     assert!(n >= 2, "agglomerate: need at least 2 observations");
 
-    // Working distance matrix, full square for O(1) row access. At N=4762
-    // this is ~181 MB transiently. Rows are built in parallel chunks: the
-    // upper triangle is a straight copy of the condensed rows, and the
-    // lower triangle is mirrored through 8-column tiles — within a tile,
-    // each destination row takes one cache line of stores instead of one
-    // 8n-byte-strided (miss-per-element) store per column, while the
-    // tile's 8 condensed source rows read as sequential streams. A pure
-    // copy either way, so bit-exact by construction.
-    let cvals = cond.as_slice();
+    let mut d = cond.as_slice().to_vec();
     let bs = |i: usize| crate::condensed::block_start(n, i);
-    let matrix_span = icn_obs::Span::enter("matrix");
-    let row_chunk = (n / (par::thread_count() * 4)).clamp(1, 256);
-    let mut d = vec![0.0f64; n * n];
-    // Workers write disjoint row windows of the square directly (no
-    // per-chunk allocation, no stitch pass over the 8N² buffer).
-    const TILE: usize = 8;
-    par::fill_chunks(&mut d, row_chunk * n, |range, out| {
-        let (lo, hi) = (range.start / n, range.end / n);
-        for i in lo..hi {
-            let upper = &cvals[bs(i)..bs(i) + (n - 1 - i)];
-            out[(i - lo) * n + i + 1..(i - lo) * n + n].copy_from_slice(upper);
-        }
-        let mut jt = 0usize;
-        while jt < hi.saturating_sub(1) {
-            let jhi = (jt + TILE).min(hi - 1);
-            // cvals index of mirror (i, j) is bs(j) + i - j - 1; hoist the
-            // j-only part (wrapping: j = 0 underflows transiently, and
-            // adding i ≥ j + 1 lands back in range).
-            let mut base = [0usize; TILE];
-            for (t, j) in (jt..jhi).enumerate() {
-                base[t] = bs(j).wrapping_sub(j + 1);
-            }
-            for i in lo.max(jt + 1)..hi {
-                let row = (i - lo) * n;
-                for (t, j) in (jt..jhi.min(i)).enumerate() {
-                    out[row + j] = cvals[base[t].wrapping_add(i)];
-                }
-            }
-            jt = jhi;
-        }
-    });
-    drop(matrix_span);
+    // Condensed index of the pair (a, b), a ≠ b.
+    let at = |a: usize, b: usize| {
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        bs(lo) + hi - lo - 1
+    };
 
-    let mut active = vec![true; n]; // cluster slot still alive
     let mut active_list: Vec<usize> = (0..n).collect(); // sorted live slots
     let mut size = vec![1usize; n]; // cluster sizes
     let mut label = (0..n).collect::<Vec<usize>>(); // slot -> output label
     let mut merges: Vec<Merge> = Vec::with_capacity(n - 1);
     let mut chain: Vec<usize> = Vec::with_capacity(n);
-
-    // Lazy-mirror bookkeeping: merge_log[t] is the slot rebuilt by merge t;
-    // rowstamp[x] is the log length row x has been patched up to.
-    let mut merge_log: Vec<usize> = Vec::with_capacity(n - 1);
-    let mut rowstamp = vec![0usize; n];
 
     // Raw merge list; heights sorted at the end (NN-chain finds reciprocal
     // pairs out of height order).
@@ -311,7 +171,6 @@ pub fn agglomerate_condensed(cond: &Condensed, linkage: Linkage) -> MergeHistory
     let obs = icn_obs::global();
     let metered = obs.is_enabled();
     let mut merge_hist = icn_obs::Histogram::new();
-    let scan_min = par_scan_min();
 
     while active_list.len() > 1 {
         if chain.is_empty() {
@@ -320,89 +179,64 @@ pub fn agglomerate_condensed(cond: &Condensed, linkage: Linkage) -> MergeHistory
         }
         loop {
             let x = *chain.last().unwrap();
-            // Bring row x up to date: copy the distances of every cluster
-            // rebuilt since this row was last patched from their rows.
-            for t in rowstamp[x]..merge_log.len() {
-                let m = merge_log[t];
-                if m != x && active[m] {
-                    d[x * n + m] = d[m * n + x];
+            let prev = chain.len().checked_sub(2).map(|p| chain[p]);
+            // Nearest active neighbour of x in ascending slot order: the
+            // slots below x (strided), then the row block of x (contiguous).
+            let split = active_list.partition_point(|&y| y < x);
+            debug_assert_eq!(active_list[split], x);
+            let mut best = usize::MAX;
+            let mut best_d = f64::INFINITY;
+            for &y in &active_list[..split] {
+                let dy = d[bs(y) + x - y - 1];
+                if dy < best_d {
+                    best_d = dy;
+                    best = y;
                 }
             }
-            rowstamp[x] = merge_log.len();
-            // Nearest active neighbour of x, preferring the previous chain
-            // element on ties (guarantees termination).
-            let prev = if chain.len() >= 2 {
-                Some(chain[chain.len() - 2])
-            } else {
-                None
-            };
-            let row = &d[x * n..(x + 1) * n];
-            let (mut best, best_d) = nearest_active(row, &active_list, x, scan_min);
+            let row = &d[bs(x)..bs(x) + (n - 1 - x)];
+            for &y in &active_list[split + 1..] {
+                let dy = row[y - x - 1];
+                if dy < best_d {
+                    best_d = dy;
+                    best = y;
+                }
+            }
             if let Some(p) = prev {
-                // The sequential tie-break prefers `prev` over any other
-                // slot at the same distance.
-                if row[p] == best_d {
+                if d[at(x, p)] == best_d {
                     best = p;
                 }
             }
             debug_assert!(best != usize::MAX);
-            if Some(best) == prev {
-                // Reciprocal nearest neighbours: merge x and best.
-                let merge_t0 = metered.then(std::time::Instant::now);
-                chain.pop();
-                chain.pop();
-                let (i, j) = (x.min(best), x.max(best));
-                // `best` may predate merges that happened while it sat in
-                // the chain; patch its row before reading it.
-                for t in rowstamp[best]..merge_log.len() {
-                    let m = merge_log[t];
-                    if m != best && active[m] {
-                        d[best * n + m] = d[m * n + best];
-                    }
-                }
-                rowstamp[best] = merge_log.len();
-                let d_ij = d[i * n + j];
-                // Lance-Williams update into slot i's row; retire slot j.
-                // No mirror-column writes: readers patch lazily. Ward (the
-                // hot path) takes the 4-lane widened row update.
-                let (n_i, n_j) = (size[i] as f64, size[j] as f64);
-                match linkage {
-                    Linkage::Ward => {
-                        ward_update_row(&mut d, n, i, j, d_ij, n_i, n_j, &active_list, &size)
-                    }
-                    _ => {
-                        for &k in &active_list {
-                            if k == i || k == j {
-                                continue;
-                            }
-                            d[i * n + k] = linkage.update(
-                                d[i * n + k],
-                                d[j * n + k],
-                                d_ij,
-                                n_i,
-                                n_j,
-                                size[k] as f64,
-                            );
-                        }
-                    }
-                }
-                active[j] = false;
-                let pos = active_list.binary_search(&j).expect("j active");
-                active_list.remove(pos);
-                merge_log.push(i);
-                rowstamp[i] = merge_log.len();
-                raw.push((label[i], label[j], d_ij, size[i] + size[j]));
-                size[i] += size[j];
-                // The new cluster's output label is assigned after sorting;
-                // remember its creation index via a placeholder in `label`.
-                label[i] = n + raw.len() - 1;
-                if let Some(t0) = merge_t0 {
-                    merge_hist.record(t0.elapsed().as_nanos() as u64);
-                }
-                break;
-            } else {
+            if Some(best) != prev {
                 chain.push(best);
+                continue;
             }
+            // Reciprocal nearest neighbours: merge x and best into slot i
+            // with a Lance–Williams update of every d(i, k); retire slot j.
+            let merge_t0 = metered.then(std::time::Instant::now);
+            chain.pop();
+            chain.pop();
+            let (i, j) = (x.min(best), x.max(best));
+            let d_ij = d[at(i, j)];
+            let (n_i, n_j) = (size[i] as f64, size[j] as f64);
+            for &k in &active_list {
+                if k == i || k == j {
+                    continue;
+                }
+                let (ik, jk) = (at(i, k), at(j, k));
+                d[ik] = linkage.update(d[ik], d[jk], d_ij, n_i, n_j, size[k] as f64);
+            }
+            let pos = active_list.binary_search(&j).expect("j active");
+            active_list.remove(pos);
+            raw.push((label[i], label[j], d_ij, size[i] + size[j]));
+            size[i] += size[j];
+            // The new cluster's output label is assigned after sorting;
+            // remember its creation index via a placeholder in `label`.
+            label[i] = n + raw.len() - 1;
+            if let Some(t0) = merge_t0 {
+                merge_hist.record(t0.elapsed().as_nanos() as u64);
+            }
+            break;
         }
     }
 

@@ -1,9 +1,10 @@
 //! Scalable (sampled) Ward path for large antenna populations.
 //!
 //! The exact stage-2 pipeline materialises the condensed distance matrix
-//! (4N² bytes) plus the NN-chain working square (8N² bytes): ~12N² bytes
-//! total, which walls out around N ≈ 10⁴–10⁵ on commodity memory. This
-//! module provides the classic sample-cluster-extend escape hatch:
+//! (4N² bytes) plus a second condensed matrix of the same size (the
+//! NN-chain working copy, later the k-sweep's sqrt matrix): ~8N² bytes,
+//! which walls out around N ≈ 10⁴–10⁵ on commodity memory. This module
+//! provides the classic sample-cluster-extend escape hatch:
 //!
 //! 1. draw a seeded sample of `s` rows and run the **exact** Ward
 //!    agglomeration on it (so every guarantee of the exact path — NN-chain
@@ -79,10 +80,13 @@ impl ClusterPath {
     }
 }
 
-/// Dominant transient allocations of the exact path at population `n`:
-/// the condensed upper triangle (≈4n² bytes), its square working copy in
-/// the NN-chain (8n²), and the sqrt view taken for the k-sweep (≈4n²)
-/// which only lives after the square is dropped — so the peak is ~12n².
+/// Memory budget of the exact path at population `n`: a conservative
+/// `12n²` bytes. The measured peak is about `8n²` — the condensed upper
+/// triangle (≈4n²) plus either the NN-chain's condensed working copy or,
+/// after that is freed, the sqrt matrix taken for the k-sweep (≈4n²
+/// each). The budget keeps its older, looser constant because
+/// [`max_sample_for_budget`] inverts it and the sampled-path golden is
+/// pinned to the resulting sample size.
 pub fn exact_memory_bytes(n: usize) -> usize {
     12 * n * n
 }

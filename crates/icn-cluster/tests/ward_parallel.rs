@@ -1,14 +1,14 @@
 //! Thread-invariance suite for the parallel stage-2 machinery: the
-//! condensed distance build, the NN-chain square-matrix fill, the parallel
-//! nearest-neighbour scans and the sampled-Ward extension must all be
-//! **bit-identical at any `ICN_THREADS`** — parallelism is an execution
-//! detail, never an answer detail.
+//! condensed distance build, the NN-chain agglomeration over it and the
+//! sampled-Ward extension must all be **bit-identical at any
+//! `ICN_THREADS`** — parallelism is an execution detail, never an answer
+//! detail.
 //!
-//! Environment discipline: `ICN_THREADS` / `ICN_SCAN_PAR_MIN` are
-//! process-global, so every mutation lives inside a single `#[test]`
-//! function (`thread_invariance_matrix`) that saves and restores them.
-//! Other tests in this binary only ever read results that are
-//! thread-invariant by contract, so concurrent execution is safe.
+//! Environment discipline: `ICN_THREADS` is process-global, so every
+//! mutation lives inside a single `#[test]` function
+//! (`thread_invariance_matrix`) that saves and restores it. Other tests in
+//! this binary only ever read results that are thread-invariant by
+//! contract, so concurrent execution is safe.
 
 use icn_cluster::{
     agglomerate, agglomerate_condensed, sampled_ward, Condensed, Linkage, MergeHistory,
@@ -61,28 +61,23 @@ impl Drop for EnvGuard {
     }
 }
 
-/// The tentpole invariance matrix: every `ICN_THREADS` ∈ {1, 2, 8}, with
-/// the nearest-neighbour scan fan-out forced on (tiny `ICN_SCAN_PAR_MIN`)
-/// so the chunked parallel reduction actually runs at test sizes, must
-/// reproduce the single-thread baseline bit for bit — condensed matrix,
-/// merge history, and sampled-Ward labels alike.
+/// The invariance matrix: every `ICN_THREADS` ∈ {1, 2, 8} must reproduce
+/// the single-thread baseline bit for bit — condensed matrix, the merge
+/// history of every linkage, and sampled-Ward labels alike.
 #[test]
 fn thread_invariance_matrix() {
-    let _guard = EnvGuard::capture(&["ICN_THREADS", "ICN_SCAN_PAR_MIN"]);
+    let _guard = EnvGuard::capture(&["ICN_THREADS"]);
     let m = blobs(257, 4, 0xA11CE);
     // Population for the sampled path: big enough that the parallel
     // nearest-centroid assignment path (gated at 4096 rows) engages.
     let big = blobs(5000, 3, 0xB0B);
 
-    // Baseline: pinned single thread, default scan threshold. Average
-    // linkage rides along to pin the non-Ward row-update path, which
-    // shares the tiled square-matrix build but not the lane-widened
-    // Lance–Williams loop.
     std::env::set_var("ICN_THREADS", "1");
-    std::env::remove_var("ICN_SCAN_PAR_MIN");
     let cond_base = Condensed::from_rows(&m, Metric::SqEuclidean);
-    let hist_base = fingerprint(&agglomerate_condensed(&cond_base, Linkage::Ward));
-    let avg_base = fingerprint(&agglomerate_condensed(&cond_base, Linkage::Average));
+    let hist_base: Vec<_> = Linkage::ALL
+        .iter()
+        .map(|&l| fingerprint(&agglomerate_condensed(&cond_base, l)))
+        .collect();
     let sw_cfg = SampledWardConfig {
         sample: 400,
         seed: 17,
@@ -92,8 +87,6 @@ fn thread_invariance_matrix() {
 
     for threads in ["1", "2", "8"] {
         std::env::set_var("ICN_THREADS", threads);
-        // Force the parallel scan reduction on (any scan ≥ 2 fans out).
-        std::env::set_var("ICN_SCAN_PAR_MIN", "2");
         let cond = Condensed::from_rows(&m, Metric::SqEuclidean);
         assert_eq!(
             cond.as_slice()
@@ -107,16 +100,14 @@ fn thread_invariance_matrix() {
                 .collect::<Vec<u64>>(),
             "condensed drifted at ICN_THREADS={threads}"
         );
-        let hist = fingerprint(&agglomerate_condensed(&cond, Linkage::Ward));
-        assert_eq!(
-            hist, hist_base,
-            "merge history drifted at ICN_THREADS={threads}"
-        );
-        let avg = fingerprint(&agglomerate_condensed(&cond, Linkage::Average));
-        assert_eq!(
-            avg, avg_base,
-            "average-linkage history drifted at ICN_THREADS={threads}"
-        );
+        for (linkage, base) in Linkage::ALL.iter().zip(&hist_base) {
+            assert_eq!(
+                &fingerprint(&agglomerate_condensed(&cond, *linkage)),
+                base,
+                "{} merge history drifted at ICN_THREADS={threads}",
+                linkage.name()
+            );
+        }
         let sw = sampled_ward(&big, 5, &sw_cfg);
         assert_eq!(
             sw.labels, sw_base.labels,
@@ -140,9 +131,8 @@ fn thread_invariance_matrix() {
     }
 }
 
-/// Differential oracle: the parallel NN-chain (lazy row patching, active
-/// list, fanned-out scans) against the testkit's O(n³) greedy
-/// agglomeration. Reducible linkages make the two hierarchies equal.
+/// Differential oracle: the condensed NN-chain against the testkit's O(n³)
+/// greedy agglomeration. Reducible linkages make the two hierarchies equal.
 #[test]
 fn nn_chain_matches_greedy_oracle() {
     for seed in [1u64, 2, 3] {
@@ -184,10 +174,10 @@ fn row_permutation_equivariance() {
     }
 }
 
-/// The lazy-row-patching scheme must be value-preserving for every
+/// The eager condensed updates must be value-preserving for every
 /// reducible linkage, not just Ward.
 #[test]
-fn all_linkages_match_oracle_with_patching() {
+fn all_linkages_match_oracle() {
     let m = blobs(40, 3, 99);
     for linkage in Linkage::ALL {
         let fast = agglomerate(&m, linkage);
@@ -198,6 +188,177 @@ fn all_linkages_match_oracle_with_patching() {
                 "{}: k={k} differs",
                 linkage.name()
             );
+        }
+    }
+}
+
+/// Integer grid points plus two duplicates: most pairwise distances come
+/// in large tied groups, so every nearest-neighbour scan has to break ties.
+/// Rows are interleaved (row `i` is grid point `5i mod 44`) so that tied
+/// neighbours sit on both sides of the scanned slot.
+fn tie_grid() -> Matrix {
+    let mut grid: Vec<Vec<f64>> = (0..6)
+        .flat_map(|r| (0..7).map(move |c| vec![r as f64, c as f64]))
+        .collect();
+    grid.push(vec![2.0, 3.0]);
+    grid.push(vec![5.0, 0.0]);
+    let n = grid.len();
+    let rows: Vec<Vec<f64>> = (0..n).map(|i| grid[i * 5 % n].clone()).collect();
+    Matrix::from_rows(&rows)
+}
+
+/// Full square matrix of the linkage's base-metric distances.
+fn square_distances(data: &Matrix, linkage: Linkage) -> Vec<Vec<f64>> {
+    let metric = linkage.base_metric();
+    (0..data.rows())
+        .map(|i| {
+            (0..data.rows())
+                .map(|j| metric.distance(data.row(i), data.row(j)))
+                .collect()
+        })
+        .collect()
+}
+
+/// Textbook nearest-neighbour chain over a full square matrix with
+/// symmetric Lance–Williams updates: scan every live slot in index order
+/// with a strict `<`, prefer the previous chain element on a tie, then sort
+/// merges by height. The condensed implementation claims exactly this
+/// scan order and tie-break.
+fn square_nn_chain(data: &Matrix, linkage: Linkage) -> Vec<(usize, usize, u64, usize)> {
+    let n = data.rows();
+    let mut d = square_distances(data, linkage);
+    let mut alive = vec![true; n];
+    let mut size = vec![1usize; n];
+    let mut label: Vec<usize> = (0..n).collect();
+    let mut raw: Vec<(usize, usize, f64, usize)> = Vec::new();
+    let mut chain: Vec<usize> = Vec::new();
+    while raw.len() + 1 < n {
+        if chain.is_empty() {
+            chain.push((0..n).find(|&y| alive[y]).unwrap());
+        }
+        let x = *chain.last().unwrap();
+        let prev = chain.len().checked_sub(2).map(|p| chain[p]);
+        let mut best = usize::MAX;
+        for y in (0..n).filter(|&y| alive[y] && y != x) {
+            if best == usize::MAX || d[x][y] < d[x][best] {
+                best = y;
+            }
+        }
+        if prev.is_some_and(|p| d[x][p] == d[x][best]) {
+            best = prev.unwrap();
+        }
+        if Some(best) != prev {
+            chain.push(best);
+            continue;
+        }
+        chain.truncate(chain.len() - 2);
+        let (i, j) = (x.min(best), x.max(best));
+        let d_ij = d[i][j];
+        for k in (0..n).filter(|&k| alive[k] && k != i && k != j) {
+            let v = linkage.update(
+                d[i][k],
+                d[j][k],
+                d_ij,
+                size[i] as f64,
+                size[j] as f64,
+                size[k] as f64,
+            );
+            d[i][k] = v;
+            d[k][i] = v;
+        }
+        alive[j] = false;
+        raw.push((label[i], label[j], d_ij, size[i] + size[j]));
+        size[i] += size[j];
+        label[i] = n + raw.len() - 1;
+    }
+    let mut order: Vec<usize> = (0..raw.len()).collect();
+    order.sort_by(|&a, &b| raw[a].2.partial_cmp(&raw[b].2).unwrap().then(a.cmp(&b)));
+    let mut rank = vec![0usize; raw.len()];
+    for (r, &o) in order.iter().enumerate() {
+        rank[o] = r;
+    }
+    let relabel = |l: usize| if l < n { l } else { n + rank[l - n] };
+    order
+        .iter()
+        .map(|&o| {
+            let (a, b, h, sz) = raw[o];
+            (relabel(a), relabel(b), linkage.to_height(h).to_bits(), sz)
+        })
+        .collect()
+}
+
+/// Tie-heavy differential case. With ties, the greedy oracle's
+/// lowest-pair tie-break and the chain's tie-break can build different
+/// (equally valid) hierarchies, so the oracle checks are the tie-robust
+/// ones: every merge, replayed in height order through the greedy
+/// Lance–Williams recurrence, joins a closest live pair; single linkage
+/// matches the greedy oracle's heights and its partitions at every
+/// untied level; and the history is bit-identical to the square-matrix
+/// chain, which pins the split scan's order and tie-break.
+#[test]
+fn tie_heavy_grid_matches_oracles() {
+    let m = tie_grid();
+    let n = m.rows();
+    for linkage in Linkage::ALL {
+        let fast = agglomerate(&m, linkage);
+        assert_eq!(
+            fingerprint(&fast),
+            square_nn_chain(&m, linkage),
+            "{}: condensed chain diverged from the square-matrix chain",
+            linkage.name()
+        );
+
+        // Greedy legality replay (the naive oracle's recurrence).
+        let mut d = square_distances(&m, linkage);
+        let mut slot_of: Vec<usize> = (0..n).collect(); // label -> slot
+        slot_of.resize(2 * n - 1, usize::MAX);
+        let mut alive: Vec<usize> = (0..n).collect();
+        let mut size = vec![1usize; n];
+        for (step, mg) in fast.merges.iter().enumerate() {
+            let (i, j) = (slot_of[mg.a], slot_of[mg.b]);
+            let closest = alive
+                .iter()
+                .flat_map(|&p| alive.iter().filter(move |&&q| q > p).map(move |&q| (p, q)))
+                .map(|(p, q)| d[p][q])
+                .fold(f64::INFINITY, f64::min);
+            let got = linkage.to_height(d[i][j]);
+            let want = linkage.to_height(closest);
+            assert!(
+                (got - want).abs() <= 1e-9 * (1.0 + want.abs()),
+                "{} step {step}: merged at {got}, closest live pair at {want}",
+                linkage.name()
+            );
+            assert_eq!(size[i] + size[j], mg.size);
+            for &k in alive.iter().filter(|&&k| k != i && k != j) {
+                let v = linkage.update(
+                    d[i][k],
+                    d[j][k],
+                    d[i][j],
+                    size[i] as f64,
+                    size[j] as f64,
+                    size[k] as f64,
+                );
+                d[i][k] = v;
+                d[k][i] = v;
+            }
+            size[i] += size[j];
+            alive.retain(|&x| x != j);
+            slot_of[n + step] = i;
+        }
+
+        if linkage == Linkage::Single {
+            let slow = naive_agglomerate(&m, linkage);
+            assert_eq!(fast.heights(), slow.heights(), "single: heights differ");
+            // Between two distinct heights the single-linkage clusters are
+            // the connected components of the threshold graph, whatever
+            // order the tied merges below took.
+            let hs = fast.heights();
+            for k in (2..n).filter(|&k| hs[n - k - 1] < hs[n - k]) {
+                assert!(
+                    same_partition(&fast.cut(k), &slow.cut(k)),
+                    "single: k={k} partitions differ"
+                );
+            }
         }
     }
 }

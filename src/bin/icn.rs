@@ -432,7 +432,15 @@ impl Opts {
             let take = |i: usize| -> Option<&String> { args.get(i + 1) };
             match args[i].as_str() {
                 "--scale" => {
-                    o.scale = take(i).and_then(|v| v.parse().ok()).unwrap_or(o.scale);
+                    if let Some(v) = take(i) {
+                        match v.parse::<f64>() {
+                            Ok(s) if s.is_finite() && s > 0.0 => o.scale = s,
+                            _ => {
+                                eprintln!("--scale wants a finite positive number (got {v:?})");
+                                std::process::exit(2);
+                            }
+                        }
+                    }
                     o.scale_explicit = true;
                     i += 2;
                 }

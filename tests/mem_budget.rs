@@ -10,6 +10,7 @@
 //! tests in this binary (and the harness itself) see the inert
 //! single-branch disabled path.
 
+use icn_repro::icn_cluster::{agglomerate_condensed, sweep_k};
 use icn_repro::icn_obs::{self, mem};
 use icn_repro::prelude::*;
 use std::process::Command;
@@ -125,6 +126,58 @@ fn condensed_gauge_is_bounded_by_the_allocator_peak() {
         want <= peak,
         "condensed gauge {want} B exceeds the allocator window peak {peak} B \
          — the gauge claims an allocation the allocator never saw"
+    );
+}
+
+/// Stage 2 holds one distance matrix: the NN-chain works on a single
+/// condensed copy of its input, so the agglomeration grows the window
+/// peak by about one condensed matrix (a square working copy would be
+/// two), and the whole exact stage 2 — condensed build, agglomeration,
+/// then the k-sweep's Euclidean matrix — by about two.
+#[test]
+fn exact_stage2_holds_one_extra_condensed_matrix() {
+    let _guard = LOCK.lock().unwrap();
+    let n = 2000;
+    let fixture = large_fixture(n, 24, 6);
+    let cond_bytes = n * (n - 1) / 2 * std::mem::size_of::<f64>();
+    let config = StudyConfig::paper();
+
+    let cond = Condensed::from_rows(&fixture, Linkage::Ward.base_metric());
+    let (history, stats) = windowed(|| agglomerate_condensed(&cond, Linkage::Ward));
+    assert_eq!(history.merges.len(), n - 1);
+    let peak = stats.peak_bytes as usize;
+    println!("agglomerate window: peak {peak} B, condensed {cond_bytes} B");
+    assert!(stats.allocs > 0, "counting window saw no allocations");
+    assert!(
+        peak as f64 <= 1.1 * cond_bytes as f64,
+        "agglomerate grew the peak by {peak} B, over 1.1x the {cond_bytes} B \
+         condensed matrix: a second distance matrix is back"
+    );
+    drop(cond);
+
+    let (report, _) = windowed(|| {
+        {
+            // The pipeline's exact stage 2 (crates/icn-core/src/pipeline.rs).
+            let _span = icn_obs::Span::enter("stage2_cluster");
+            let cond = Condensed::from_rows(&fixture, Linkage::Ward.base_metric());
+            let history = agglomerate_condensed(&cond, Linkage::Ward);
+            let _dendrogram = Dendrogram::from_history(&history);
+            let _sweep = sweep_k(
+                &history,
+                &cond.sqrt_values(),
+                config.k_sweep_lo..=config.k_sweep_hi,
+            );
+            let _labels = history.cut(config.k);
+        }
+        BenchReport::build(&icn_obs::global().snapshot(), "mem_budget", 0.0)
+    });
+    let stage2 = report.memory.expect("memory section").spans["stage2_cluster"];
+    let growth = stage2.peak_growth_bytes as usize;
+    println!("stage2_cluster span: peak growth {growth} B");
+    assert!(
+        growth as f64 <= 2.2 * cond_bytes as f64,
+        "exact stage 2 grew the peak by {growth} B, over 2.2x the \
+         {cond_bytes} B condensed matrix"
     );
 }
 

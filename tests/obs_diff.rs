@@ -163,6 +163,35 @@ fn missing_memory_section_diffs_informationally() {
     }
 }
 
+/// Child spans are attribution detail, not gated metrics: a baseline that
+/// still carries a span the code no longer opens (the NN-chain's former
+/// `stage2_cluster/agglomerate/matrix` square build) diffs clean against a
+/// candidate without it, and the span never surfaces as a diff line.
+#[test]
+fn removed_child_span_never_gates() {
+    let gone = "stage2_cluster/agglomerate/matrix";
+    for name in ["bench_cluster_smoke.json", "bench_mem_smoke.json"] {
+        let a = load(name);
+        assert!(a.spans.contains_key(gone), "{name} lost its {gone} span");
+        let mut b = a.clone();
+        b.spans.remove(gone);
+        if let Some(m) = b.memory.as_mut() {
+            m.spans.remove(gone);
+        }
+        let report = diff_reports(&a, &b, &DiffThresholds::default());
+        assert!(
+            report.passed(),
+            "{name}: removed child span failed the gate:\n{}",
+            report.render()
+        );
+        assert!(
+            report.lines.iter().all(|l| !l.metric.contains("matrix")),
+            "{name}: child span surfaced as a diff line:\n{}",
+            report.render()
+        );
+    }
+}
+
 /// The CLI peak gate end to end: default threshold (1.5x) rejects the
 /// doctored 2x fixture with exit 1; `--max-peak-ratio 3` admits it.
 #[test]
