@@ -163,7 +163,8 @@ pub fn dow_index(wd: Weekday) -> usize {
 /// Runs models + backtest + detector over pre-built cluster series.
 ///
 /// Instrumented under `forecast.*` when the global `icn-obs` registry is
-/// enabled (child spans per phase, per-cluster latency histogram, summary
+/// enabled (child spans per phase — `detect`, `fit_naive`, `fit_ets`,
+/// `fit_forest`, `backtest` — per-cluster latency histogram, summary
 /// counters/gauges) — the stage-6 pipeline span wraps this call.
 pub fn forecast_series(
     all: &[ClusterSeries],
@@ -187,7 +188,10 @@ pub fn forecast_series(
                 seed: cfg.forest.seed ^ ((cs.cluster as u64) << 32),
                 ..cfg.forest
             };
-            let anomalies = detect(&cs.values, &cfg.detector);
+            let anomalies = {
+                let _span = icn_obs::Span::enter("detect");
+                detect(&cs.values, &cfg.detector)
+            };
             // Robust fitting series: detector-flagged hours are imputed
             // with the detection baseline (the event-free hour-of-week
             // level) so a strike day or a fixture night cannot drag the
@@ -205,24 +209,35 @@ pub fn forecast_series(
                 fit
             };
             let (naive, ets, forest_fc) = if forecastable {
-                (
-                    seasonal_naive_forecast(&fit, cfg.ets.period, cfg.horizon),
-                    ets_forecast(&fit, &cfg.ets, cfg.horizon),
-                    forest_forecast(&fit, &forest, start_dow, cfg.horizon),
-                )
+                let naive = {
+                    let _span = icn_obs::Span::enter("fit_naive");
+                    seasonal_naive_forecast(&fit, cfg.ets.period, cfg.horizon)
+                };
+                let ets = {
+                    let _span = icn_obs::Span::enter("fit_ets");
+                    ets_forecast(&fit, &cfg.ets, cfg.horizon)
+                };
+                let forest_fc = {
+                    let _span = icn_obs::Span::enter("fit_forest");
+                    forest_forecast(&fit, &forest, start_dow, cfg.horizon)
+                };
+                (naive, ets, forest_fc)
             } else {
                 (Vec::new(), Vec::new(), Vec::new())
             };
             let scores = match BacktestConfig::standard(n) {
-                Some(bt) if forecastable => backtest_masked(
-                    &fit,
-                    &cs.values,
-                    &anomalies.flagged,
-                    &bt,
-                    &cfg.ets,
-                    &forest,
-                    start_dow,
-                ),
+                Some(bt) if forecastable => {
+                    let _span = icn_obs::Span::enter("backtest");
+                    backtest_masked(
+                        &fit,
+                        &cs.values,
+                        &anomalies.flagged,
+                        &bt,
+                        &cfg.ets,
+                        &forest,
+                        start_dow,
+                    )
+                }
                 _ => BacktestScores::default(),
             };
             let primary = match cfg.model {

@@ -27,7 +27,8 @@ pub struct ClusterSeries {
 
 /// Builds one cluster's series: parallel per-member synthesis (order
 /// preserved by `par::map_indexed`), then a sequential per-hour median —
-/// bit-identical at any `ICN_THREADS`.
+/// bit-identical at any `ICN_THREADS`. Metered as one `cluster_series`
+/// span per cluster.
 pub fn cluster_series(
     cluster: usize,
     members: &[&Antenna],
@@ -39,6 +40,9 @@ pub fn cluster_series(
 ) -> ClusterSeries {
     assert_eq!(members.len(), member_rows.len(), "cluster_series: mismatch");
     assert!(!members.is_empty(), "cluster_series: no members");
+    let mut span = icn_obs::Span::enter("cluster_series");
+    span.attr("cluster", cluster as u64);
+    span.attr("members", members.len() as u64);
     let per_member: Vec<Vec<f64>> = par::map_indexed(members.len(), |i| {
         aggregate_hourly_series(
             members[i],

@@ -197,7 +197,9 @@ fn main() {
 }
 
 /// `icn obs <diff|top|mem>` — report tooling; parses its own positional
-/// arguments (the common Opts flags do not apply here).
+/// arguments (the common Opts flags do not apply here). A report that
+/// cannot be read or parsed is an input error (exit 2), never mistaken
+/// for `diff`'s regression verdict (exit 1).
 fn cmd_obs(args: &[String]) {
     // Every report file — legacy single `icn-obs/v1..v3` documents and
     // `icn-bench-set/1` sweeps alike — loads through the set parser.
@@ -206,14 +208,14 @@ fn cmd_obs(args: &[String]) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("cannot read {path}: {e}");
-                std::process::exit(1);
+                std::process::exit(2);
             }
         };
         match icn_repro::icn_obs::BenchReportSet::parse(&text) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("cannot parse {path}: {e}");
-                std::process::exit(1);
+                std::process::exit(2);
             }
         }
     }
@@ -519,7 +521,15 @@ impl Opts {
                     i += 2;
                 }
                 "--chunk" => {
-                    o.chunk = take(i).and_then(|v| v.parse().ok()).unwrap_or(o.chunk);
+                    if let Some(v) = take(i) {
+                        match v.parse::<usize>() {
+                            Ok(n) if n > 0 => o.chunk = n,
+                            _ => {
+                                eprintln!("--chunk wants a positive record count (got {v:?})");
+                                std::process::exit(2);
+                            }
+                        }
+                    }
                     i += 2;
                 }
                 "--lateness" => {

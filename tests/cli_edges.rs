@@ -1,6 +1,8 @@
 //! Usage errors exit 2 with a message, never a panic (exit 101): a
-//! non-positive or non-finite `--scale` on the `icn` CLI, and a
-//! `bench_cluster --large-n` that leaves no more rows than clusters.
+//! non-positive or non-finite `--scale` on the `icn` CLI, a zero or
+//! non-numeric `icn ingest --chunk`, an `icn obs diff` input that cannot
+//! be read or parsed, and a `bench_cluster --large-n` that leaves no more
+//! rows than clusters. `icn obs diff` keeps exit 1 for a real regression.
 //!
 //! `bench_cluster` belongs to the `icn-bench` package, so it is launched
 //! through `cargo run` in the same profile as this test; argument
@@ -11,6 +13,11 @@ use std::process::{Command, Output};
 enum Bin {
     Icn,
     BenchCluster,
+}
+
+/// Path of a committed report fixture under `tests/golden/`.
+fn golden(name: &str) -> String {
+    format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"))
 }
 
 fn launch(bin: &Bin, args: &[&str]) -> Output {
@@ -40,11 +47,22 @@ fn launch(bin: &Bin, args: &[&str]) -> Output {
 #[test]
 fn invalid_arguments_exit_2_with_a_message() {
     let k = icn_repro::prelude::StudyConfig::paper().k.to_string();
+    let smoke = golden("bench_smoke005.json");
+    let not_a_report = format!("{}/Cargo.toml", env!("CARGO_MANIFEST_DIR"));
+    let missing = golden("no_such_report.json");
     let cases: &[(Bin, &[&str], &str)] = &[
         (Bin::Icn, &["run", "--scale", "0"], "--scale"),
         (Bin::Icn, &["run", "--scale", "-1"], "--scale"),
         (Bin::Icn, &["run", "--scale", "nan"], "--scale"),
         (Bin::Icn, &["run", "--scale", "inf"], "--scale"),
+        (Bin::Icn, &["ingest", "--chunk", "0"], "--chunk"),
+        (Bin::Icn, &["ingest", "--chunk", "abc"], "--chunk"),
+        (
+            Bin::Icn,
+            &["obs", "diff", &smoke, &not_a_report],
+            "cannot parse",
+        ),
+        (Bin::Icn, &["obs", "diff", &missing, &smoke], "cannot read"),
         (Bin::BenchCluster, &["--large-n", "0"], "usage:"),
         (Bin::BenchCluster, &["--large-n", &k], "usage:"),
     ];
@@ -61,4 +79,18 @@ fn invalid_arguments_exit_2_with_a_message() {
             "{args:?}: message lacks {needle:?}:\n{stderr}"
         );
     }
+}
+
+#[test]
+fn obs_diff_exits_1_only_on_a_regression() {
+    let smoke = golden("bench_smoke005.json");
+    let regressed = golden("bench_regression_fixture.json");
+    let out = launch(&Bin::Icn, &["obs", "diff", &smoke, &regressed]);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "a regression must exit 1:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("perf gate FAILED"));
 }

@@ -10,6 +10,19 @@ use icn_repro::prelude::*;
 
 mod common;
 
+/// `sampled_path_never_materializes_full_condensed` reads the process-global
+/// registry while it is enabled, and every `Condensed` built by another
+/// test in this binary writes the gauge it checks; the tests that build
+/// one serialize on this lock.
+static REGISTRY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn registry_guard() -> std::sync::MutexGuard<'static, ()> {
+    // A failed test must not fail the others through poisoning.
+    REGISTRY_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// RSCA features of the paper-configured synthetic campaign at `scale`.
 fn rsca_at(scale: f64) -> Matrix {
     let ds = Dataset::generate(SynthConfig::paper().with_scale(scale));
@@ -25,6 +38,7 @@ fn rsca_at(scale: f64) -> Matrix {
 /// drifting a benchmark artefact.
 #[test]
 fn sampled_ward_agrees_with_exact_at_paper_subscales() {
+    let _registry = registry_guard();
     let config = StudyConfig::paper();
     for scale in [0.05, 0.2] {
         let rsca_m = rsca_at(scale);
@@ -74,6 +88,7 @@ fn large_fixture(n: usize, dims: usize, k: usize) -> Matrix {
 /// registry for its whole body, per the suite's env-test discipline.
 #[test]
 fn sampled_path_never_materializes_full_condensed() {
+    let _registry = registry_guard();
     let n = 6000;
     let budget_bytes: usize = 4 * 1024 * 1024; // 4 MB — exact needs ~412 MB
     assert!(exact_memory_bytes(n) > budget_bytes);
@@ -125,6 +140,7 @@ fn sampled_path_never_materializes_full_condensed() {
 /// off the extended labels without knowing a sample was involved.
 #[test]
 fn pipeline_runs_end_to_end_on_sampled_path() {
+    let _registry = registry_guard();
     let ds = common::dataset();
     let config = StudyConfig {
         cluster_path: ClusterPath::Sampled,

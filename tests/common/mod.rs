@@ -50,3 +50,27 @@ pub fn study_at(scale: f64) -> (Dataset, IcnStudy) {
 pub fn probe_window(days: usize) -> StudyCalendar {
     StudyCalendar::custom(Date::new(2023, 1, 9), days)
 }
+
+/// Saves `ICN_THREADS` and restores it on drop — even when an assertion
+/// unwinds mid-matrix — so a thread-count matrix never leaks its last
+/// setting into other tests of the binary.
+pub struct EnvGuard {
+    saved: Option<String>,
+}
+
+impl EnvGuard {
+    pub fn capture() -> EnvGuard {
+        EnvGuard {
+            saved: std::env::var("ICN_THREADS").ok(),
+        }
+    }
+}
+
+impl Drop for EnvGuard {
+    fn drop(&mut self) {
+        match &self.saved {
+            Some(v) => std::env::set_var("ICN_THREADS", v),
+            None => std::env::remove_var("ICN_THREADS"),
+        }
+    }
+}

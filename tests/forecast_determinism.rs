@@ -15,28 +15,6 @@ use icn_repro::prelude::*;
 
 mod common;
 
-struct EnvGuard {
-    saved: Option<String>,
-}
-
-impl EnvGuard {
-    fn capture() -> EnvGuard {
-        EnvGuard {
-            saved: std::env::var("ICN_THREADS").ok(),
-        }
-    }
-}
-
-impl Drop for EnvGuard {
-    fn drop(&mut self) {
-        // Restore even if an assertion unwinds mid-matrix.
-        match &self.saved {
-            Some(v) => std::env::set_var("ICN_THREADS", v),
-            None => std::env::remove_var("ICN_THREADS"),
-        }
-    }
-}
-
 /// Exact bit-level fingerprint of a forecast report: every float is
 /// compared via `to_bits`, every index set verbatim.
 #[allow(clippy::type_complexity)]
@@ -80,7 +58,7 @@ fn drain(mut stream: RecordStream) -> Vec<HourlyRecord> {
 
 #[test]
 fn forecast_is_bit_identical_across_threads_and_shuffled_ingest() {
-    let _guard = EnvGuard::capture();
+    let _guard = common::EnvGuard::capture();
     let ds = Dataset::generate(SynthConfig::small());
     let config = || StudyConfig {
         run_forecast: true,

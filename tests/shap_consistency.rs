@@ -4,11 +4,16 @@
 //! Shapley in unit tests; here we close the triangle at the integration
 //! level — KernelSHAP run against the *pipeline's* surrogate forest must
 //! approximate TreeSHAP, and local accuracy must hold on real study data.
+//! The batch kernel is pinned bit for bit against the single-sample
+//! kernel on study forests, at every lane-block tail and thread count.
 
 use icn_repro::prelude::*;
 
 mod common;
-use icn_shap::{forest_base_value, kernel_shap, KernelShapConfig};
+use icn_forest::{SoaForest, TreeConfig};
+use icn_shap::{
+    forest_base_value, forest_shap_batch_soa, forest_shap_soa, kernel_shap, KernelShapConfig,
+};
 
 fn small_study() -> (Dataset, IcnStudy) {
     let dataset = common::dataset_at(0.04);
@@ -121,6 +126,78 @@ fn shap_values_are_finite_and_bounded() {
             for &v in row {
                 assert!(v.is_finite());
                 assert!((-1.0..=1.0).contains(&v), "phi {v}");
+            }
+        }
+    }
+}
+
+/// Asserts `forest_shap_batch_soa` on the first `n` rows of `x` equals the
+/// per-sample `reference` bit for bit.
+fn assert_batch_bitwise(
+    soa: &SoaForest,
+    x: &Matrix,
+    n: usize,
+    reference: &[Vec<Vec<f64>>],
+    tag: &str,
+) {
+    let rows: Vec<Vec<f64>> = (0..n).map(|i| x.row(i).to_vec()).collect();
+    let batch = forest_shap_batch_soa(soa, &Matrix::from_rows(&rows));
+    for (c, m) in batch.iter().enumerate() {
+        assert_eq!(m.shape(), (n, soa.n_features));
+        for (i, phi) in reference[..n].iter().enumerate() {
+            for f in 0..soa.n_features {
+                assert_eq!(
+                    m.get(i, f).to_bits(),
+                    phi[f][c].to_bits(),
+                    "{tag}: batch of {n}, sample {i}, class {c}, feature {f}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn batch_matches_per_sample_bitwise_at_every_tail_and_thread_count() {
+    let _guard = common::EnvGuard::capture();
+    let dataset = Dataset::generate(SynthConfig::paper().with_scale(0.05));
+    let study = IcnStudy::run(&dataset, StudyConfig::fast());
+    let x = &study.rsca;
+    // Coarse leaves hold several classes, so leaves add several terms.
+    let coarse = RandomForest::fit(
+        &TrainSet::new(x.clone(), study.labels.clone()),
+        &ForestConfig {
+            n_trees: 12,
+            tree: TreeConfig {
+                min_samples_leaf: 6,
+                ..ForestConfig::default().tree
+            },
+            ..ForestConfig::default()
+        },
+    );
+    for (tag, forest) in [("study", &study.surrogate), ("coarse", &coarse)] {
+        let soa = SoaForest::from_forest(forest);
+        if tag == "coarse" {
+            let mixed = soa
+                .trees
+                .iter()
+                .flat_map(|t| {
+                    (0..t.num_nodes())
+                        .filter(|&i| t.is_leaf(i))
+                        .map(move |i| t.nz_len[i])
+                })
+                .filter(|&k| k > 1)
+                .count();
+            assert!(mixed > 0, "coarse forest has no multi-class leaf");
+        }
+        let reference: Vec<Vec<Vec<f64>>> = (0..x.rows())
+            .map(|i| forest_shap_soa(&soa, x.row(i)))
+            .collect();
+        for threads in ["1", "2", "8"] {
+            std::env::set_var("ICN_THREADS", threads);
+            let tag = format!("{tag} forest at ICN_THREADS={threads}");
+            // Every tail-block size, plus the whole study (several chunks).
+            for n in (1..=17).chain([x.rows()]) {
+                assert_batch_bitwise(&soa, x, n, &reference, &tag);
             }
         }
     }

@@ -40,10 +40,30 @@ fn metered_report(scale: f64) -> BenchReport {
 fn metered_run_exports_throughput_gauges() {
     let _guard = LOCK.lock().unwrap();
     let report = metered_report(0.02);
-    for gauge in ["shap.samples_per_sec", "forest.predict_rows_per_sec"] {
+    for gauge in [
+        "shap.samples_per_sec",
+        "forest.predict_rows_per_sec",
+        "shap.lane_fill",
+    ] {
         let v = report.gauges.get(gauge).copied().unwrap_or_default();
         assert!(v > 0.0, "gauge {gauge} missing or zero: {v}");
     }
+    // Real samples per lane slot walked: only the batch's last block pads,
+    // so each tree leaves fewer than 8 lane slots idle.
+    let fill = report.gauges["shap.lane_fill"];
+    assert!(fill <= 1.0, "lane fill above 1: {fill}");
+    let s3 = report
+        .stages
+        .iter()
+        .find(|s| s.name == "stage3_surrogate")
+        .expect("stage3 in report");
+    let walks = s3.counters["shap.tree_walks"];
+    let blocks = s3.counters["shap.lane_blocks"];
+    let trees = s3.counters["forest.trees"];
+    assert!(
+        blocks * 8 >= walks && blocks * 8 - walks < 8 * trees,
+        "{blocks} lane blocks for {walks} tree walks over {trees} trees"
+    );
     assert!(
         report.spans.contains_key("stage3_surrogate/shap_batch"),
         "shap_batch span missing: {:?}",
