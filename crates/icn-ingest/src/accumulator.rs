@@ -6,27 +6,132 @@
 //! to the batch construction. Float addition is not associative, so the
 //! accumulator never folds in arrival order. Instead:
 //!
-//! 1. incoming records land in an *open bucket* per hour, keyed by
-//!    `(antenna, service)` in a `BTreeMap` — insertion order is forgotten;
+//! 1. incoming records land in an *open bucket* per hour: a dense
+//!    `antennas × services` slab of `(dl, ul)` plus a presence bitset
+//!    ([`HourBucket`]), so insertion order is forgotten;
 //! 2. a watermark (`max_hour_seen − lateness`) seals hours that can no
-//!    longer legally receive records;
+//!    longer legally receive records, the moment a record advances it;
 //! 3. sealed hours are folded in ascending hour order, cells in ascending
-//!    key order.
+//!    `(antenna, service)` order — the slab's ascending index order.
 //!
 //! Every cell of `T` therefore accumulates its per-hour contributions in
 //! exactly one canonical order — ascending hour — no matter how the stream
 //! was chunked, threaded, or (boundedly) reordered. Duplicate and late
 //! records are rejected here because only the accumulator holds the
 //! sequencing state needed to detect them.
+//!
+//! Open hours always lie in `[max_hour_seen − lateness, max_hour_seen]`,
+//! and a sealed slab is recycled for the next hour opened, so at most
+//! `min(lateness + 1, hours)` slabs are ever allocated: a bound of
+//! `(lateness + 1) · antennas · services · (16 B + 1 bit)`.
 
-use std::collections::BTreeMap;
+use std::fmt;
+use std::time::Instant;
 
 use icn_stats::Matrix;
 
 use crate::record::{HourlyRecord, IngestSchema, QuarantineReason};
 
-/// Open (not yet sealed) records of one hour: cell key → (dl, ul).
-type HourBucket = BTreeMap<(u32, u32), (f64, f64)>;
+/// The open records of one hour: a dense `antennas × services` slab of
+/// `(dl, ul)` plus a presence bitset. Cell `(a, s)` lives at index
+/// `a · services + s` — its flat index in `T` — so ascending index order is
+/// ascending `(antenna, service)` key order. This type is the one owner of
+/// that layout: the accumulator folds through [`HourBucket::iter`], and the
+/// checkpoint renders through it and parses through [`HourBucket::insert`].
+#[derive(Clone)]
+pub(crate) struct HourBucket {
+    antennas: u32,
+    services: u32,
+    /// `(dl, ul)` per cell; meaningful only where `present` is set, so a
+    /// recycled slab keeps its stale values.
+    cells: Vec<[f64; 2]>,
+    present: Vec<u64>,
+    len: usize,
+}
+
+impl HourBucket {
+    fn new(schema: &IngestSchema) -> HourBucket {
+        let n = schema.antennas as usize * schema.services as usize;
+        HourBucket {
+            antennas: schema.antennas,
+            services: schema.services,
+            cells: vec![[0.0; 2]; n],
+            present: vec![0; n.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    /// Stores cell `(antenna, service)`. A cell outside the dims is
+    /// rejected with the reason validation would give it; a cell already
+    /// present is a [`QuarantineReason::DuplicateKey`].
+    pub(crate) fn insert(
+        &mut self,
+        antenna: u32,
+        service: u32,
+        dl: f64,
+        ul: f64,
+    ) -> Result<(), QuarantineReason> {
+        if antenna >= self.antennas {
+            return Err(QuarantineReason::UnknownAntenna);
+        }
+        if service >= self.services {
+            return Err(QuarantineReason::UnknownService);
+        }
+        let i = antenna as usize * self.services as usize + service as usize;
+        let (word, bit) = (i / 64, 1u64 << (i % 64));
+        if self.present[word] & bit != 0 {
+            return Err(QuarantineReason::DuplicateKey);
+        }
+        self.present[word] |= bit;
+        self.cells[i] = [dl, ul];
+        self.len += 1;
+        Ok(())
+    }
+
+    /// Present cells in ascending index order, as `(index, dl, ul)`.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, f64, f64)> + '_ {
+        self.present
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| {
+                let mut bits = word;
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let b = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        w * 64 + b
+                    })
+                })
+            })
+            .map(|i| (i, self.cells[i][0], self.cells[i][1]))
+    }
+
+    /// The `(antenna, service)` key of a cell index.
+    pub(crate) fn key(&self, index: usize) -> (u32, u32) {
+        let s = self.services as usize;
+        ((index / s) as u32, (index % s) as u32)
+    }
+
+    /// Number of present cells.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Empties the slab for reuse (cell values are left stale).
+    fn clear(&mut self) {
+        self.present.fill(0);
+        self.len = 0;
+    }
+}
+
+impl fmt::Debug for HourBucket {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HourBucket")
+            .field("dims", &(self.antennas, self.services))
+            .field("records", &self.len)
+            .finish()
+    }
+}
 
 /// Incrementally maintained `T` plus per-hour temporal accumulators.
 #[derive(Clone, Debug)]
@@ -39,9 +144,11 @@ pub struct StreamAccumulator {
     hourly_volume: Vec<f64>,
     /// Committed per-hour accepted-record counts.
     hourly_records: Vec<u64>,
-    /// Open buckets, keyed by hour. `BTreeMap` so sealing walks hours in
-    /// ascending order.
-    open: BTreeMap<u32, HourBucket>,
+    /// Open buckets in ascending hour order, all inside the watermark
+    /// window `[max_hour_seen − lateness, max_hour_seen]`.
+    open: Vec<(u32, HourBucket)>,
+    /// Sealed slabs kept for the next hour opened.
+    spare: Vec<HourBucket>,
     /// Highest hour observed on any accepted record.
     max_hour_seen: Option<u32>,
     /// All hours `< committed_below` have been folded into `totals`.
@@ -65,16 +172,15 @@ impl StreamAccumulator {
     /// record may trail the newest hour seen before it is quarantined as
     /// [`QuarantineReason::LateArrival`].
     pub fn new(schema: IngestSchema, lateness: u32) -> StreamAccumulator {
-        StreamAccumulator {
+        StreamAccumulator::from_parts(
             schema,
             lateness,
-            totals: Matrix::zeros(schema.antennas as usize, schema.services as usize),
-            hourly_volume: vec![0.0; schema.hours as usize],
-            hourly_records: vec![0; schema.hours as usize],
-            open: BTreeMap::new(),
-            max_hour_seen: None,
-            committed_below: 0,
-        }
+            Matrix::zeros(schema.antennas as usize, schema.services as usize),
+            vec![0.0; schema.hours as usize],
+            vec![0; schema.hours as usize],
+            None,
+            0,
+        )
     }
 
     /// The schema this accumulator was built for.
@@ -99,7 +205,7 @@ impl StreamAccumulator {
 
     /// Number of records currently held in open (unsealed) buckets.
     pub fn open_records(&self) -> usize {
-        self.open.values().map(|b| b.len()).sum()
+        self.open.iter().map(|(_, b)| b.len()).sum()
     }
 
     /// Committed totals so far (open buckets not included).
@@ -107,67 +213,47 @@ impl StreamAccumulator {
         &self.totals
     }
 
-    /// Inserts one schema-valid record. The caller must have run
-    /// [`IngestSchema::validate`] first; this method performs only the
-    /// stateful checks (late arrival, duplicate key).
+    /// Inserts one record, running every check in the priority order of
+    /// [`QuarantineReason::ALL`]: the stateless [`IngestSchema::validate`],
+    /// then late arrival, then duplicate key. A record that advances the
+    /// watermark first seals every hour the watermark has passed.
     ///
     /// The lateness check compares against `max_hour_seen` — a property of
     /// the record *sequence*, not of chunk boundaries — so the accept /
     /// quarantine decision for every record is invariant to how the stream
     /// is chunked.
     pub fn insert(&mut self, r: &HourlyRecord) -> Result<(), QuarantineReason> {
-        debug_assert!(
-            self.schema.validate(r).is_ok(),
-            "insert() requires a schema-valid record"
-        );
-        if let Some(max) = self.max_hour_seen {
-            if r.hour + self.lateness < max {
-                return Err(QuarantineReason::LateArrival);
+        self.schema.validate(r)?;
+        match self.max_hour_seen {
+            // r.hour + lateness < max, without overflow.
+            Some(max) if r.hour < max.saturating_sub(self.lateness) => {
+                return Err(QuarantineReason::LateArrival)
+            }
+            Some(max) if r.hour <= max => {}
+            _ => {
+                self.seal_below(r.hour.saturating_sub(self.lateness));
+                self.max_hour_seen = Some(r.hour);
             }
         }
-        let bucket = self.open.entry(r.hour).or_default();
-        match bucket.entry((r.antenna, r.service)) {
-            std::collections::btree_map::Entry::Occupied(_) => Err(QuarantineReason::DuplicateKey),
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert((r.bytes_dl, r.bytes_ul));
-                self.max_hour_seen = Some(match self.max_hour_seen {
-                    Some(m) => m.max(r.hour),
-                    None => r.hour,
-                });
-                Ok(())
+        let at = self.open.iter().rposition(|(h, _)| *h <= r.hour);
+        let slot = match at {
+            Some(i) if self.open[i].0 == r.hour => i,
+            _ => {
+                let i = at.map_or(0, |i| i + 1);
+                let bucket = self.fresh_bucket();
+                self.open.insert(i, (r.hour, bucket));
+                i
             }
-        }
-    }
-
-    /// Seals and folds every hour the watermark has passed: all `h` with
-    /// `h + lateness < max_hour_seen`. Hours fold in ascending order,
-    /// cells within an hour in ascending `(antenna, service)` order.
-    pub fn commit_sealed(&mut self) {
-        let Some(max) = self.max_hour_seen else {
-            return;
         };
-        // h + lateness < max  ⟺  h < max − lateness (u32, max ≥ lateness).
-        let seal_below = max.saturating_sub(self.lateness);
-        while let Some((&h, _)) = self.open.iter().next() {
-            if h >= seal_below {
-                break;
-            }
-            let bucket = self.open.remove(&h).expect("hour key just observed");
-            self.fold_bucket(h, bucket);
-        }
-        self.committed_below = self.committed_below.max(seal_below);
+        self.open[slot]
+            .1
+            .insert(r.antenna, r.service, r.bytes_dl, r.bytes_ul)
     }
 
     /// Folds every remaining open bucket (ascending hour order) and
     /// returns the final totals. Call once the stream has ended.
     pub fn finish(mut self) -> AccumulatedTotals {
-        while let Some((&h, _)) = self.open.iter().next() {
-            let bucket = self.open.remove(&h).expect("hour key just observed");
-            self.fold_bucket(h, bucket);
-        }
-        if let Some(max) = self.max_hour_seen {
-            self.committed_below = self.committed_below.max(max + 1);
-        }
+        self.seal_below(u32::MAX);
         AccumulatedTotals {
             totals: self.totals,
             hourly_volume: self.hourly_volume,
@@ -175,26 +261,47 @@ impl StreamAccumulator {
         }
     }
 
-    fn fold_bucket(&mut self, hour: u32, bucket: HourBucket) {
-        let h = hour as usize;
-        for ((a, s), (dl, ul)) in bucket {
-            let v = dl + ul;
-            let (i, j) = (a as usize, s as usize);
-            self.totals.set(i, j, self.totals.get(i, j) + v);
-            self.hourly_volume[h] += v;
-            self.hourly_records[h] += 1;
+    /// Seals and folds every open hour `< bound`, in ascending hour order,
+    /// cells within an hour in ascending `(antenna, service)` order, and
+    /// recycles the sealed slabs.
+    fn seal_below(&mut self, bound: u32) {
+        let n = self.open.partition_point(|(h, _)| *h < bound);
+        let reg = icn_obs::global();
+        for (hour, mut bucket) in self.open.drain(..n) {
+            let t0 = reg.is_enabled().then(Instant::now);
+            let h = hour as usize;
+            let totals = self.totals.as_mut_slice();
+            let mut volume = self.hourly_volume[h];
+            for (i, dl, ul) in bucket.iter() {
+                let v = dl + ul;
+                totals[i] += v;
+                volume += v;
+            }
+            self.hourly_volume[h] = volume;
+            self.hourly_records[h] += bucket.len() as u64;
+            bucket.clear();
+            self.spare.push(bucket);
+            if let Some(t0) = t0 {
+                reg.record_hist("ingest.seal_ns", t0.elapsed().as_nanos() as u64);
+            }
         }
+        self.committed_below = self.committed_below.max(bound);
     }
 
-    /// Reconstructs an accumulator from checkpoint state.
-    #[allow(clippy::too_many_arguments)] // mirrors the checkpoint fields 1:1
+    fn fresh_bucket(&mut self) -> HourBucket {
+        self.spare
+            .pop()
+            .unwrap_or_else(|| HourBucket::new(&self.schema))
+    }
+
+    /// Reconstructs an accumulator from checkpoint state, with no open
+    /// hours; [`StreamAccumulator::open_hour`] restores them.
     pub(crate) fn from_parts(
         schema: IngestSchema,
         lateness: u32,
         totals: Matrix,
         hourly_volume: Vec<f64>,
         hourly_records: Vec<u64>,
-        open: BTreeMap<u32, HourBucket>,
         max_hour_seen: Option<u32>,
         committed_below: u32,
     ) -> StreamAccumulator {
@@ -204,15 +311,26 @@ impl StreamAccumulator {
             totals,
             hourly_volume,
             hourly_records,
-            open,
+            open: Vec::new(),
+            spare: Vec::new(),
             max_hour_seen,
             committed_below,
         }
     }
 
-    /// Read access to the open buckets (checkpoint serialization).
-    pub(crate) fn open_buckets(&self) -> &BTreeMap<u32, HourBucket> {
-        &self.open
+    /// Opens an empty bucket for `hour` after every open hour (checkpoint
+    /// restore). The caller guarantees `hour` is inside the watermark
+    /// window and above every hour already open.
+    pub(crate) fn open_hour(&mut self, hour: u32) -> &mut HourBucket {
+        debug_assert!(self.open.last().is_none_or(|(h, _)| *h < hour));
+        let bucket = self.fresh_bucket();
+        self.open.push((hour, bucket));
+        &mut self.open.last_mut().expect("just pushed").1
+    }
+
+    /// The open buckets in ascending hour order (checkpoint serialization).
+    pub(crate) fn open_buckets(&self) -> impl Iterator<Item = (u32, &HourBucket)> {
+        self.open.iter().map(|(h, b)| (*h, b))
     }
 
     /// Read access to the committed hourly volume (checkpoint serialization).
@@ -275,11 +393,10 @@ mod tests {
     }
 
     #[test]
-    fn commit_seals_only_watermarked_hours() {
+    fn advancing_the_watermark_seals_only_passed_hours() {
         let mut acc = StreamAccumulator::new(schema(), 2);
         acc.insert(&rec(0, 0, 0, 1.0)).unwrap();
         acc.insert(&rec(0, 0, 5, 2.0)).unwrap();
-        acc.commit_sealed();
         // Hours < 5 − 2 = 3 are sealed: hour 0 folded, hour 5 still open.
         assert_eq!(acc.committed_below(), 3);
         assert_eq!(acc.committed_totals().get(0, 0), 1.0);
@@ -309,6 +426,85 @@ mod tests {
         }
         let out = acc.finish();
         assert_eq!(out.totals.get(0, 0).to_bits(), ascending.to_bits());
+    }
+
+    #[test]
+    fn invalid_records_are_rejected_before_any_state_changes() {
+        let mut acc = StreamAccumulator::new(schema(), 2);
+        assert_eq!(
+            acc.insert(&rec(0, 3, 7, 1.0)),
+            Err(QuarantineReason::UnknownService)
+        );
+        assert_eq!(
+            acc.insert(&rec(4, 0, 7, 1.0)),
+            Err(QuarantineReason::UnknownAntenna)
+        );
+        assert_eq!(acc.max_hour_seen(), None);
+        assert_eq!(acc.open_records(), 0);
+    }
+
+    #[test]
+    fn slabs_are_recycled_within_the_lateness_bound() {
+        // A sparse, jumpy feed: hours advance by 0–3 per record, with
+        // in-window stragglers. At most lateness + 1 slabs may exist.
+        for lateness in [0u32, 1, 2, 5] {
+            let mut acc = StreamAccumulator::new(schema(), lateness);
+            let mut hour = 0u32;
+            for k in 0..40u32 {
+                hour = (hour + k % 4).min(47);
+                let _ = acc.insert(&rec(k % 4, k % 3, hour, 1.0));
+                let _ = acc.insert(&rec(k % 2, 0, hour.saturating_sub(lateness), 1.0));
+                let slabs = acc.open.len() + acc.spare.len();
+                assert!(
+                    slabs as u32 <= lateness + 1,
+                    "lateness {lateness}: {slabs} slabs"
+                );
+                assert!(acc.open.windows(2).all(|w| w[0].0 < w[1].0));
+            }
+        }
+    }
+
+    #[test]
+    fn bucket_iterates_present_cells_in_key_order() {
+        let schema = IngestSchema {
+            antennas: 5,
+            services: 30,
+            hours: 1,
+        };
+        let mut b = HourBucket::new(&schema);
+        let keys = [(4u32, 29u32), (0, 0), (2, 5), (2, 4), (1, 29)];
+        for (n, &(a, s)) in keys.iter().enumerate() {
+            b.insert(a, s, n as f64, 0.5).unwrap();
+        }
+        assert_eq!(
+            b.insert(2, 5, 9.0, 9.0),
+            Err(QuarantineReason::DuplicateKey)
+        );
+        assert_eq!(
+            b.insert(5, 0, 1.0, 1.0),
+            Err(QuarantineReason::UnknownAntenna)
+        );
+        assert_eq!(
+            b.insert(0, 30, 1.0, 1.0),
+            Err(QuarantineReason::UnknownService)
+        );
+        let got: Vec<(u32, u32, f64)> = b
+            .iter()
+            .map(|(i, dl, _)| {
+                let (a, s) = b.key(i);
+                (a, s, dl)
+            })
+            .collect();
+        let mut want: Vec<(u32, u32, f64)> = keys
+            .iter()
+            .enumerate()
+            .map(|(n, &(a, s))| (a, s, n as f64))
+            .collect();
+        want.sort_by_key(|&(a, s, _)| (a, s));
+        assert_eq!(got, want);
+        b.clear();
+        assert_eq!(b.iter().count(), 0);
+        assert!(b.insert(2, 5, 1.0, 1.0).is_ok());
     }
 
     #[test]

@@ -24,7 +24,7 @@ use icn_stats::Matrix;
 
 use crate::accumulator::StreamAccumulator;
 use crate::pipeline::IngestStats;
-use crate::record::IngestSchema;
+use crate::record::{IngestSchema, QuarantineReason};
 
 /// Schema tag of the checkpoint document.
 pub const CHECKPOINT_SCHEMA: &str = "icn-ingest/v1";
@@ -53,10 +53,10 @@ impl Checkpoint {
         let open: Vec<Json> = self
             .acc
             .open_buckets()
-            .iter()
-            .map(|(&hour, bucket)| {
+            .map(|(hour, bucket)| {
                 let mut cells = String::new();
-                for ((a, s), (dl, ul)) in bucket {
+                for (i, dl, ul) in bucket.iter() {
+                    let (a, s) = bucket.key(i);
                     if !cells.is_empty() {
                         cells.push(' ');
                     }
@@ -194,11 +194,38 @@ impl Checkpoint {
             return Err("hourly arrays do not match schema hours".to_string());
         }
 
-        let mut open = BTreeMap::new();
+        let mut acc = StreamAccumulator::from_parts(
+            schema,
+            lateness,
+            totals,
+            hourly_volume,
+            hourly_records,
+            max_hour_seen,
+            committed_below,
+        );
+        // Open hours are rendered strictly ascending and always inside the
+        // watermark window; anything else cannot come from a real run.
+        let mut last_hour = None;
         for entry in doc.get("open").and_then(Json::as_arr).unwrap_or(&[]) {
             let hour = get_u32(entry, "hour")?;
-            let mut bucket = BTreeMap::new();
+            let in_window = max_hour_seen
+                .is_some_and(|max| hour <= max && hour >= max.saturating_sub(lateness));
+            if hour >= schema.hours || !in_window {
+                return Err(format!(
+                    "open hour {hour} is outside the watermark window \
+                     (max_hour_seen {max_hour_seen:?}, lateness {lateness}, hours {})",
+                    schema.hours
+                ));
+            }
+            if last_hour.is_some_and(|h| hour <= h) {
+                return Err(format!("open hour {hour} is repeated or out of order"));
+            }
+            last_hour = Some(hour);
             let cells = get_str(entry, "cells")?;
+            if cells.trim().is_empty() {
+                return Err(format!("open hour {hour} has no cells"));
+            }
+            let bucket = acc.open_hour(hour);
             for cell in cells.split(' ').filter(|c| !c.is_empty()) {
                 let mut it = cell.split(':');
                 let (Some(a), Some(s), Some(dl), Some(ul), None) =
@@ -214,21 +241,18 @@ impl Checkpoint {
                 let ul = f64::from_bits(
                     u64::from_str_radix(ul, 16).map_err(|_| format!("bad ul bits in `{cell}`"))?,
                 );
-                bucket.insert((a, s), (dl, ul));
+                bucket.insert(a, s, dl, ul).map_err(|reason| match reason {
+                    QuarantineReason::DuplicateKey => {
+                        format!("open cell `{cell}` is repeated in hour {hour}")
+                    }
+                    _ => format!(
+                        "open cell `{cell}` is outside the {}x{} dims ({reason})",
+                        schema.antennas, schema.services
+                    ),
+                })?;
             }
-            open.insert(hour, bucket);
         }
 
-        let acc = StreamAccumulator::from_parts(
-            schema,
-            lateness,
-            totals,
-            hourly_volume,
-            hourly_records,
-            open,
-            max_hour_seen,
-            committed_below,
-        );
         Ok(Checkpoint {
             schema,
             lateness,
@@ -248,6 +272,7 @@ impl Checkpoint {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read checkpoint {}: {e}", path.display()))?;
         Checkpoint::parse(&text)
+            .map_err(|e| format!("cannot parse checkpoint {}: {e}", path.display()))
     }
 }
 
@@ -345,9 +370,19 @@ mod tests {
             };
             acc.insert(&r).unwrap();
         }
-        acc.commit_sealed();
+        // Two open hours (7 and 9), cells inserted out of key order.
+        for (a, s, h) in [(2, 1, 7), (1, 0, 9), (0, 0, 9)] {
+            let r = HourlyRecord {
+                antenna: a,
+                service: s,
+                hour: h,
+                bytes_dl: 0.7,
+                bytes_ul: 0.3,
+            };
+            acc.insert(&r).unwrap();
+        }
         let mut stats = IngestStats {
-            ok: 4,
+            ok: 7,
             chunks: 1,
             ..IngestStats::default()
         };
@@ -355,7 +390,7 @@ mod tests {
         Checkpoint {
             schema,
             lateness: 2,
-            records_consumed: 6,
+            records_consumed: 9,
             stats,
             acc,
         }
@@ -377,7 +412,7 @@ mod tests {
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-        assert_eq!(back.acc.open_buckets(), ck.acc.open_buckets());
+        assert_eq!(back.acc.open_records(), ck.acc.open_records());
         // Re-render is byte-identical, so the hash is stable.
         assert_eq!(back.render(), text);
         assert_eq!(back.hash(), ck.hash());
@@ -404,5 +439,63 @@ mod tests {
         bits.pop();
         let corrupted = format!("{}{}{}", &text[..start], bits.join(" "), &text[end..]);
         assert!(Checkpoint::parse(&corrupted).is_err());
+    }
+
+    /// Replaces the first occurrence of `from` in the rendered sample.
+    fn tampered(from: &str, to: &str) -> Result<Checkpoint, String> {
+        let text = sample_checkpoint().render();
+        assert!(text.contains(from), "sample lacks `{from}`:\n{text}");
+        Checkpoint::parse(&text.replacen(from, to, 1))
+    }
+
+    #[test]
+    fn open_cells_render_in_ascending_key_order() {
+        let text = sample_checkpoint().render();
+        let cells: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("\"cells\": \""))
+            .collect();
+        assert_eq!(cells.len(), 2, "{text}");
+        assert!(cells[0].starts_with("2:1:"), "{}", cells[0]);
+        let keys: Vec<&str> = cells[1].split(' ').map(|c| &c[..3]).collect();
+        assert_eq!(keys, ["0:0", "0:1", "1:0"]);
+    }
+
+    #[test]
+    fn open_cells_outside_the_dims_are_rejected() {
+        // Cell 0:5 of a 3x2 slab would otherwise land on the flat index of
+        // cell (2, 1); antenna 9000 would index past the slab.
+        for bad in ["0:5:", "9000:0:", "3:0:"] {
+            let err = tampered("\"cells\": \"2:1:", &format!("\"cells\": \"{bad}")).unwrap_err();
+            assert!(err.contains("outside the 3x2 dims"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn repeated_open_cells_and_hours_are_rejected() {
+        let text = sample_checkpoint().render();
+        let start = text.find("\"cells\": \"0:0:").unwrap() + "\"cells\": \"".len();
+        let first = &text[start..start + text[start..].find(' ').unwrap()];
+        let doubled = text.replacen(first, &format!("{first} {first}"), 1);
+        let err = Checkpoint::parse(&doubled).unwrap_err();
+        assert!(err.contains("is repeated in hour 9"), "{err}");
+
+        let err = tampered("\"hour\": 9", "\"hour\": 7").unwrap_err();
+        assert!(err.contains("repeated or out of order"), "{err}");
+    }
+
+    #[test]
+    fn open_hours_outside_the_window_are_rejected() {
+        // Hour 12 is past the 12-hour window; hour 6 is below the
+        // watermark 9 − 2, so a real run would already have sealed it.
+        for hour in ["12", "6"] {
+            let err = tampered("\"hour\": 7", &format!("\"hour\": {hour}")).unwrap_err();
+            assert!(
+                err.contains("outside the watermark window"),
+                "{hour}: {err}"
+            );
+        }
+        let err = tampered("\"max_hour_seen\": 9", "\"max_hour_seen\": null").unwrap_err();
+        assert!(err.contains("outside the watermark window"), "{err}");
     }
 }

@@ -2,20 +2,20 @@
 //! checkpoint.
 //!
 //! Each step pulls one chunk from the source (with bounded retry/backoff
-//! on transient errors), validates it in parallel (the structural checks
-//! are stateless, so `icn_stats::par` can fan them out without affecting
-//! results), then applies records **in order** against the accumulator,
-//! which performs the stateful duplicate/late checks and owns the
-//! watermark. Because accept/quarantine decisions depend only on the
-//! record sequence — never on chunk boundaries or thread count — the final
-//! totals are bit-identical for any `chunk_size` and any `ICN_THREADS`.
+//! on transient errors), then applies its records **in order** against
+//! the accumulator, which runs the structural checks and the stateful
+//! duplicate/late checks and owns the watermark. Validation is a handful
+//! of comparisons per record, so it runs inline: fanning it out over
+//! worker threads cost more in per-chunk spawns than it saved. Because
+//! accept/quarantine decisions depend only on the record sequence — never
+//! on chunk boundaries or thread count — the final totals are
+//! bit-identical for any `chunk_size` and any `ICN_THREADS`.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
 use icn_obs::Span;
-use icn_stats::par;
 
 use crate::accumulator::{AccumulatedTotals, StreamAccumulator};
 use crate::checkpoint::Checkpoint;
@@ -208,19 +208,11 @@ impl IngestPipeline {
         let mut chunk_span = icn_obs::Span::enter("ingest_chunk");
         chunk_span.attr("records", chunk.len() as u64);
         let chunk_t0 = chunk_span.path().is_some().then(Instant::now);
-        // Stateless validation in parallel; results come back in order, so
-        // this cannot perturb the sequential accept/quarantine decisions.
-        let schema = *self.acc.schema();
-        let verdicts = par::map_indexed(chunk.len(), |i| schema.validate(&chunk[i]).err());
         let mut ok = 0u64;
         let mut quarantined = 0u64;
-        for (r, verdict) in chunk.iter().zip(verdicts) {
+        for r in &chunk {
             self.records_consumed += 1;
-            let outcome = match verdict {
-                Some(reason) => Err(reason),
-                None => self.acc.insert(r),
-            };
-            match outcome {
+            match self.acc.insert(r) {
                 Ok(()) => ok += 1,
                 Err(reason) => {
                     quarantined += 1;
@@ -236,11 +228,6 @@ impl IngestPipeline {
             }
         }
         let reg = icn_obs::global();
-        let seal_t0 = reg.is_enabled().then(Instant::now);
-        self.acc.commit_sealed();
-        if let Some(t0) = seal_t0 {
-            reg.record_hist("ingest.seal_ns", t0.elapsed().as_nanos() as u64);
-        }
         self.stats.ok += ok;
         self.stats.chunks += 1;
         reg.add_counter("ingest.records_ok", ok);

@@ -115,9 +115,8 @@ impl IngestSchema {
     /// priority order of [`QuarantineReason::ALL`], so a record failing
     /// several ways is always attributed to the same (first) reason —
     /// a requirement for exact quarantine accounting under fault
-    /// injection. This check is stateless and therefore safe to run in
-    /// parallel over a chunk; the stateful duplicate/late checks live in
-    /// the accumulator.
+    /// injection. This check is stateless; the accumulator runs it ahead
+    /// of its stateful duplicate/late checks.
     pub fn validate(&self, r: &HourlyRecord) -> Result<(), QuarantineReason> {
         if !r.bytes_dl.is_finite() || !r.bytes_ul.is_finite() {
             return Err(QuarantineReason::NonFiniteVolume);

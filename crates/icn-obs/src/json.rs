@@ -323,14 +323,16 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Re-synchronise on UTF-8 boundaries: step back and take
-                    // the full char.
-                    self.pos -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote or escape in one
+                    // step: both are ASCII, so the run ends on a char
+                    // boundary, and each byte is decoded once.
+                    let start = self.pos - 1;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    s.push_str(run);
                 }
             }
         }
@@ -410,6 +412,18 @@ mod tests {
         for text in [doc.to_compact(), doc.to_pretty()] {
             assert_eq!(Json::parse(&text).unwrap(), doc);
         }
+    }
+
+    #[test]
+    fn long_strings_with_escapes_and_multibyte_chars_round_trip() {
+        let long = "0:1:3fb999999999999a:3fc5555555555555 ".repeat(20_000);
+        let text = format!("{long}α\"β\\γ\n{long}");
+        let doc = Json::obj(vec![("cells", Json::str(text.clone()))]);
+        let back = Json::parse(&doc.to_pretty()).unwrap();
+        assert_eq!(
+            back.get("cells").and_then(Json::as_str),
+            Some(text.as_str())
+        );
     }
 
     #[test]

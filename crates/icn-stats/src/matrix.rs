@@ -117,6 +117,12 @@ impl Matrix {
         &self.data
     }
 
+    /// Mutable full backing storage, row-major.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Iterator over row slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
         self.data.chunks_exact(self.cols.max(1))

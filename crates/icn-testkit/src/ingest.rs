@@ -42,6 +42,9 @@ pub struct NaiveIngest {
     pub ok: u64,
     /// Quarantined counts keyed by reason label, sorted.
     pub quarantined: Vec<(String, u64)>,
+    /// Per-record decision in input order: `None` if accepted, else the
+    /// quarantine reason label.
+    pub verdicts: Vec<Option<&'static str>>,
 }
 
 /// Sequential reference implementation of the whole ingest semantics,
@@ -52,6 +55,7 @@ pub fn naive_ingest(records: &[HourlyRecord], schema: IngestSchema, lateness: u3
     let mut seen: BTreeSet<(u32, u32, u32)> = BTreeSet::new();
     let mut max_hour: Option<u32> = None;
     let mut quarantine: Vec<(&'static str, u64)> = Vec::new();
+    let mut verdicts = Vec::with_capacity(records.len());
     let count = |q: &mut Vec<(&'static str, u64)>, label: &'static str| match q
         .iter_mut()
         .find(|(l, _)| *l == label)
@@ -78,6 +82,7 @@ pub fn naive_ingest(records: &[HourlyRecord], schema: IngestSchema, lateness: u3
         } else {
             None
         };
+        verdicts.push(reason);
         match reason {
             Some(label) => count(&mut quarantine, label),
             None => {
@@ -111,6 +116,7 @@ pub fn naive_ingest(records: &[HourlyRecord], schema: IngestSchema, lateness: u3
         hourly_records,
         ok: accepted.len() as u64,
         quarantined,
+        verdicts,
     }
 }
 

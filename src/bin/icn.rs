@@ -976,6 +976,22 @@ fn cmd_ingest(o: &Opts) {
         }
     }
 
+    // A checkpoint that cannot be read, parsed or applied to this feed is
+    // an input error (exit 2); reading it first fails before any work.
+    let resume_from = o.resume.then(|| {
+        let Some(path) = o.checkpoint.as_deref() else {
+            eprintln!("--resume requires --checkpoint <path>");
+            std::process::exit(2);
+        };
+        match Checkpoint::read_file(std::path::Path::new(path)) {
+            Ok(ck) => (path, ck),
+            Err(e) => {
+                eprintln!("{e}");
+                std::process::exit(2);
+            }
+        }
+    });
+
     let ds = o.dataset();
     let window = StudyCalendar::custom(icn_repro::icn_synth::Date::new(2023, 1, 9), o.days);
     let config = IngestConfig {
@@ -1005,29 +1021,32 @@ fn cmd_ingest(o: &Opts) {
         None => Feed::Clean(stream),
     };
 
-    let mut pipe = if o.resume {
-        let Some(path) = o.checkpoint.as_deref() else {
-            eprintln!("--resume requires --checkpoint <path>");
+    let mut pipe = if let Some((path, ck)) = resume_from {
+        if ck.schema != schema {
+            let dims = |s: &IngestSchema| {
+                format!(
+                    "{} antennas x {} services x {} hours",
+                    s.antennas, s.services, s.hours
+                )
+            };
+            eprintln!(
+                "checkpoint {path} has dims {} but the feed has {}",
+                dims(&ck.schema),
+                dims(&schema)
+            );
             std::process::exit(2);
-        };
-        let ck = match Checkpoint::read_file(std::path::Path::new(path)) {
-            Ok(ck) => ck,
-            Err(e) => {
-                eprintln!("cannot read checkpoint {path}: {e}");
-                std::process::exit(1);
-            }
-        };
+        }
         let consumed = ck.records_consumed;
         let pipe = match IngestPipeline::from_checkpoint(ck, config) {
             Ok(p) => p,
             Err(e) => {
                 eprintln!("{e}");
-                std::process::exit(1);
+                std::process::exit(2);
             }
         };
         if let Err(e) = feed.skip_records(consumed) {
             eprintln!("cannot advance source past checkpoint: {e}");
-            std::process::exit(1);
+            std::process::exit(2);
         }
         eprintln!("resumed from {path} at record {consumed}");
         pipe

@@ -1,13 +1,17 @@
 //! Usage errors exit 2 with a message, never a panic (exit 101): a
 //! non-positive or non-finite `--scale` on the `icn` CLI, a zero or
-//! non-numeric `icn ingest --chunk`, an `icn obs diff` input that cannot
-//! be read or parsed, and a `bench_cluster --large-n` that leaves no more
-//! rows than clusters. `icn obs diff` keeps exit 1 for a real regression.
+//! non-numeric `icn ingest --chunk`, an `icn ingest --resume` checkpoint
+//! that cannot be read or parsed or whose dims differ from the feed's, an
+//! `icn obs diff` input that cannot be read or parsed, and a
+//! `bench_cluster --large-n` that leaves no more rows than clusters.
+//! `icn obs diff` keeps exit 1 for a real regression.
 //!
 //! `bench_cluster` belongs to the `icn-bench` package, so it is launched
 //! through `cargo run` in the same profile as this test; argument
-//! checking happens before any work, so each case returns at once.
+//! checking happens before any work, so each case returns at once. The
+//! wrong-dims resume case alone generates a (scale-0.05) feed first.
 
+use icn_repro::prelude::Checkpoint;
 use std::process::{Command, Output};
 
 enum Bin {
@@ -50,7 +54,54 @@ fn invalid_arguments_exit_2_with_a_message() {
     let smoke = golden("bench_smoke005.json");
     let not_a_report = format!("{}/Cargo.toml", env!("CARGO_MANIFEST_DIR"));
     let missing = golden("no_such_report.json");
+    // A real checkpoint of a scale-0.02 feed, resumed against scale 0.05.
+    let dir = std::env::temp_dir().join("icn_cli_edges");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let ck = dir.join("ck-0.02.json").display().to_string();
+    let no_ck = dir.join("no_such_ck.json").display().to_string();
+    let halt = [
+        "ingest",
+        "--days",
+        "1",
+        "--scale",
+        "0.02",
+        "--halt-after",
+        "2",
+        "--checkpoint",
+        &ck,
+    ];
+    let out = launch(&Bin::Icn, &halt);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let ck_dims = {
+        let s = Checkpoint::read_file(std::path::Path::new(&ck))
+            .expect("checkpoint")
+            .schema;
+        format!(
+            "has dims {} antennas x {} services x {} hours",
+            s.antennas, s.services, s.hours
+        )
+    };
+    let wrong_dims = [
+        "ingest",
+        "--days",
+        "1",
+        "--scale",
+        "0.05",
+        "--resume",
+        "--checkpoint",
+        &ck,
+    ];
+    // The checkpoint is read before the feed is generated.
+    let unreadable = ["ingest", "--resume", "--checkpoint", &no_ck];
+    let unparsable = ["ingest", "--resume", "--checkpoint", &not_a_report];
     let cases: &[(Bin, &[&str], &str)] = &[
+        (Bin::Icn, &wrong_dims, &ck_dims),
+        (Bin::Icn, &unreadable, "cannot read checkpoint"),
+        (Bin::Icn, &unparsable, "cannot parse checkpoint"),
         (Bin::Icn, &["run", "--scale", "0"], "--scale"),
         (Bin::Icn, &["run", "--scale", "-1"], "--scale"),
         (Bin::Icn, &["run", "--scale", "nan"], "--scale"),

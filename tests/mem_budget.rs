@@ -205,9 +205,11 @@ fn streamed_ingest_peak_is_a_matrix_not_the_feed() {
     let peak = stats.peak_bytes as usize;
     println!("ingest window: peak {peak} B, matrix {matrix_bytes} B, feed {feed_bytes} B");
     assert!(stats.allocs > 0, "counting window saw no allocations");
-    // Measured ~3.3 MB on the reference box (totals matrix + chunk
-    // buffers + generator scratch); 16 MB is ~5x headroom yet still 2.5x
-    // under the feed, so buffering the stream trips the gate.
+    // The totals matrix, the chunk buffer, generator scratch and at most
+    // lateness + 1 = 3 open-hour slabs of 16 B + 1 bit per cell: about
+    // 1.4 MB, where per-cell tree buckets took 3.25 MB. 16 MB is ~10x that
+    // yet still 2.5x under the feed, so buffering the stream trips the
+    // gate; the 2 MiB gate holds the dense-slab layout.
     assert!(
         peak < feed_bytes / 4,
         "ingest peak {peak} B is O(feed = {feed_bytes} B): the pipeline \
@@ -217,6 +219,11 @@ fn streamed_ingest_peak_is_a_matrix_not_the_feed() {
         peak <= 16 << 20,
         "ingest peak {peak} B blew the 16 MiB ceiling for a \
          {matrix_bytes} B totals matrix"
+    );
+    assert!(
+        peak <= 2 << 20,
+        "ingest peak {peak} B is over 2 MiB: the open hours outgrew \
+         their dense slabs (2 x {matrix_bytes} B each)"
     );
 }
 
